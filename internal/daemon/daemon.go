@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/portus-sys/portus/internal/alloc"
 	"github.com/portus-sys/portus/internal/datapath"
 	"github.com/portus-sys/portus/internal/delta"
 	"github.com/portus-sys/portus/internal/index"
@@ -1411,18 +1412,112 @@ func (d *Daemon) doCheckpoint(env sim.Env, t *sched.Task, rc *reqCtx) {
 // assembled the same content compute the same value, so the stamp
 // identifies the copy's content, not its location or how it got there.
 func (d *Daemon) contentCRC(m *index.Model, slot int) uint64 {
-	h := crc64.New(crcTable)
-	var b [8]byte
-	for i := range m.Tensors {
-		ext := m.TensorData(i, slot)
-		if d.cfg.PMem.Materialized() {
-			h.Write(d.cfg.PMem.Data().Bytes(ext.Off, ext.Size))
-		} else {
-			binary.LittleEndian.PutUint64(b[:], d.cfg.PMem.Data().Fingerprint(ext.Off, ext.Size))
+	data := d.cfg.PMem.Data()
+	exts := make([]alloc.Extent, len(m.Tensors))
+	var total int64
+	for i := range exts {
+		exts[i] = m.TensorData(i, slot)
+		total += exts[i].Size
+	}
+	if !data.Materialized() {
+		h := crc64.New(crcTable)
+		var b [8]byte
+		for _, ext := range exts {
+			binary.LittleEndian.PutUint64(b[:], data.Fingerprint(ext.Off, ext.Size))
 			h.Write(b[:])
 		}
+		return h.Sum64()
 	}
-	return h.Sum64()
+	return crcExtents(data, exts, memdev.Parts(total, crcMinPart))
+}
+
+// crcMinPart is the smallest share of a slot's bytes hashed on a core
+// of its own; below it the goroutine and combine overhead outweigh the
+// speedup, so small models hash serially.
+const crcMinPart = 1 << 20
+
+// crcExtents is the CRC64 (ECMA) of the extents' bytes concatenated in
+// order, hashed in place. Each part of bounds (offsets into the
+// concatenation) is hashed concurrently and the part CRCs are folded
+// with crc64Combine, so the result equals the serial checksum for any
+// split.
+func crcExtents(dev *memdev.Device, exts []alloc.Extent, bounds []int64) uint64 {
+	crcs := make([]uint64, len(bounds)-1)
+	memdev.RunParts(bounds, func(i int, lo, hi int64) {
+		var crc uint64
+		var base int64 // offset of ext within the concatenation
+		for _, ext := range exts {
+			a, b := max(lo, base), min(hi, base+ext.Size)
+			if a < b {
+				dev.View(ext.Off+a-base, b-a, func(p []byte) { crc = crc64.Update(crc, crcTable, p) })
+			}
+			base += ext.Size
+		}
+		crcs[i] = crc
+	})
+	crc := crcs[0]
+	for i := 1; i < len(crcs); i++ {
+		crc = crc64Combine(crc, crcs[i], bounds[i+1]-bounds[i])
+	}
+	return crc
+}
+
+// crc64Combine returns the CRC64 (ECMA) of A||B given crcA, crcB and
+// len(B), without touching the bytes: zlib's crc32_combine GF(2) method
+// with the 64-bit polynomial. Appending len(B) zero bytes to A is a
+// linear map on the CRC register; it is applied by repeated squaring of
+// the one-zero-bit operator, and B's own CRC is then XORed in (the
+// pre- and post-inversion cancel, as in zlib).
+func crc64Combine(crcA, crcB uint64, lenB int64) uint64 {
+	if lenB <= 0 {
+		return crcA
+	}
+	var even, odd [64]uint64 // operators for 2^k and 2^(k+1) zero bits
+	odd[0] = crc64.ECMA      // reflected polynomial: one zero bit
+	row := uint64(1)
+	for i := 1; i < 64; i++ {
+		odd[i] = row
+		row <<= 1
+	}
+	gf2Square(&even, &odd) // two zero bits
+	gf2Square(&odd, &even) // four zero bits
+	for {
+		// Apply the operator for the next bit of lenB (in bytes: the
+		// first square below yields one zero byte).
+		gf2Square(&even, &odd)
+		if lenB&1 != 0 {
+			crcA = gf2Times(&even, crcA)
+		}
+		if lenB >>= 1; lenB == 0 {
+			break
+		}
+		gf2Square(&odd, &even)
+		if lenB&1 != 0 {
+			crcA = gf2Times(&odd, crcA)
+		}
+		if lenB >>= 1; lenB == 0 {
+			break
+		}
+	}
+	return crcA ^ crcB
+}
+
+// gf2Times multiplies the 64x64 GF(2) matrix mat by vec.
+func gf2Times(mat *[64]uint64, vec uint64) uint64 {
+	var sum uint64
+	for i := 0; vec != 0; i, vec = i+1, vec>>1 {
+		if vec&1 != 0 {
+			sum ^= mat[i]
+		}
+	}
+	return sum
+}
+
+// gf2Square sets sq to mat squared.
+func gf2Square(sq, mat *[64]uint64) {
+	for i := range sq {
+		sq[i] = gf2Times(mat, mat[i])
+	}
 }
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -1464,24 +1559,31 @@ func (d *Daemon) doRestore(env sim.Env, t *sched.Task, rc *reqCtx) {
 		fail(wire.ErrCodeNoCheckpoint, 0, "no complete checkpoint version on PMem")
 		return
 	}
-	// Integrity gate: re-fingerprint the stored copy against the stamp
-	// persisted with its DONE flag before any byte reaches GPU memory. A
-	// mismatch means this copy is torn or corrupted — the client fails
-	// over to another replica.
-	if v.CRC != 0 {
-		if got := d.contentCRC(m, slot); got != v.CRC {
-			d.tel.crcFailures.Inc()
-			fail(wire.ErrCodeCorrupt, v.Iteration,
-				fmt.Sprintf("iteration %d failed integrity check (stored CRC %016x, computed %016x)", v.Iteration, v.CRC, got))
-			return
-		}
-	}
 	tr := telemetry.NewTrace("restore", m.Name, v.Iteration, t.EnqueuedAt)
 	tr.ID = t.TraceID
 	tr.ParentSpan = t.ParentSpan
 	t0 := env.Now()
 	wait := tr.Root.Child("enqueue-wait", t.EnqueuedAt)
 	wait.EndAt(t0)
+	// Integrity gate: re-fingerprint the stored copy against the stamp
+	// persisted with its DONE flag before any byte reaches GPU memory. A
+	// mismatch means this copy is torn or corrupted — the client fails
+	// over to another replica. The gate is work, not queueing: it gets
+	// its own span, outside enqueue-wait.
+	verify := tr.Root.Child("verify", t0)
+	if v.CRC != 0 {
+		if got := d.contentCRC(m, slot); got != v.CRC {
+			verify.EndAt(env.Now())
+			d.tel.crcFailures.Inc()
+			msg := fmt.Sprintf("iteration %d failed integrity check (stored CRC %016x, computed %016x)", v.Iteration, v.CRC, got)
+			tr.Err = msg
+			tr.Finish(env.Now())
+			d.tel.traces.Add(tr)
+			fail(wire.ErrCodeCorrupt, v.Iteration, msg)
+			return
+		}
+	}
+	verify.EndAt(env.Now())
 	plan, cx := d.plan(rc.sess, slot)
 	cx.Trace = t.TraceID
 	lease := d.lanePool.Acquire()

@@ -141,6 +141,18 @@ func TestRestoreTraceAndPushTime(t *testing.T) {
 		if snap[0].Root.Find("push") == nil {
 			t.Fatal("restore trace missing push span")
 		}
+		// The stages tile the restore: queueing, the CRC gate, the push.
+		var sum time.Duration
+		for _, name := range []string{"enqueue-wait", "verify", "push"} {
+			sp := snap[0].Root.Find(name)
+			if sp == nil {
+				t.Fatalf("restore trace missing %q span", name)
+			}
+			sum += sp.Dur()
+		}
+		if sum != snap[0].Duration {
+			t.Fatalf("restore stage sum %v != end-to-end %v", sum, snap[0].Duration)
+		}
 	})
 	eng.Run()
 }

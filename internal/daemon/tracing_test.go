@@ -2,6 +2,8 @@ package daemon_test
 
 import (
 	"bytes"
+	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +13,10 @@ import (
 	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/faults"
 	"github.com/portus-sys/portus/internal/gpu"
+	"github.com/portus-sys/portus/internal/index"
 	"github.com/portus-sys/portus/internal/model"
+	"github.com/portus-sys/portus/internal/pmem"
+	"github.com/portus-sys/portus/internal/rdma"
 	"github.com/portus-sys/portus/internal/sim"
 	"github.com/portus-sys/portus/internal/telemetry"
 	"github.com/portus-sys/portus/internal/wire"
@@ -304,4 +309,97 @@ func countSlow(reg *telemetry.Registry) float64 {
 		}
 	}
 	return -1
+}
+
+// TestRestoreVerifyIsNotQueueing runs a restore on the wall clock, where
+// the CRC integrity gate takes real time, and checks that the gate is
+// its own "verify" span: enqueue-wait matches the scheduler's wait for
+// the request, ends where verify begins, and is all the enqueue-wait
+// histogram records — the CRC is work, not time waiting for a worker.
+func TestRestoreVerifyIsNotQueueing(t *testing.T) {
+	env := sim.NewRealEnv()
+	fabric := rdma.NewTCPFabric(env)
+	defer fabric.Close()
+	storage := rdma.NewNode(env, "storage")
+	if _, err := fabric.Serve(storage, ""); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	pm := pmem.New(pmem.Config{Name: "pm0", DataSize: 112 << 20, MetaSize: 8 << 20, Materialized: true})
+	d, err := daemon.New(env, daemon.Config{PMem: pm, RNode: storage, Fabric: fabric, Telemetry: reg, TraceDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go d.Serve(env, wire.NetListener{L: ln})
+
+	node := rdma.NewNode(env, "client0")
+	if _, err := fabric.Serve(node, ""); err != nil {
+		t.Fatal(err)
+	}
+	spec := model.Spec{Name: "gated", IterTime: time.Millisecond}
+	for i := 0; i < 6; i++ {
+		spec.Tensors = append(spec.Tensors, index.TensorMeta{
+			Name: fmt.Sprintf("w%d", i), DType: index.F32, Dims: []int64{2 << 20}, Size: 8 << 20,
+		})
+	}
+	placed, err := gpu.Place(gpu.New("gpu0", 64<<20, true), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sock, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Register(env, wire.NewNetConn(sock), node, placed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	placed.ApplyUpdate(1)
+	if err := c.CheckpointSync(env, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	enqueueWait := reg.Histogram("portus_checkpoint_enqueue_wait_seconds", "", nil)
+	schedWait := reg.Histogram("portus_sched_wait_seconds", "", nil, telemetry.L("class", "restore"))
+	waitBefore := enqueueWait.Sum()
+	if _, err := c.Restore(env); err != nil {
+		t.Fatal(err)
+	}
+	var tr *telemetry.Trace
+	for _, x := range d.Traces().Snapshot() {
+		if x.Kind == "restore" {
+			tr = x
+		}
+	}
+	if tr == nil {
+		t.Fatal("no restore trace")
+	}
+	wait, verify, push := tr.Root.Find("enqueue-wait"), tr.Root.Find("verify"), tr.Root.Find("push")
+	if wait == nil || verify == nil || push == nil {
+		t.Fatalf("restore trace lacks enqueue-wait/verify/push: %+v", tr.Root.Children)
+	}
+	if verify.Dur() <= 0 {
+		t.Fatalf("verify span %v, want the CRC gate's wall time", verify.Dur())
+	}
+	if wait.End != verify.Start || verify.End > push.Start {
+		t.Fatalf("stages out of order: enqueue-wait ends %v, verify [%v,%v), push starts %v",
+			wait.End, verify.Start, verify.End, push.Start)
+	}
+	sched := time.Duration(schedWait.Sum() * float64(time.Second))
+	if diff := (wait.Dur() - sched).Abs(); diff > verify.Dur()/2 {
+		t.Fatalf("enqueue-wait %v, scheduler wait %v: off by %v with a %v gate", wait.Dur(), sched, diff, verify.Dur())
+	}
+	recorded := time.Duration((enqueueWait.Sum() - waitBefore) * float64(time.Second))
+	if diff := (recorded - wait.Dur()).Abs(); diff > time.Microsecond {
+		t.Fatalf("enqueue-wait histogram recorded %v for the restore, span is %v", recorded, wait.Dur())
+	}
+	if bad := placed.VerifyIteration(1); bad != -1 {
+		t.Fatalf("tensor %d wrong after restore", bad)
+	}
 }

@@ -105,22 +105,34 @@ func blockSeed(tensorSeed, block uint64) uint64 {
 // BlockDigests returns the model's flattened per-block digest vector at
 // the given block size: one memdev fingerprint per blockBytes-sized
 // range of every tensor, in registration order — exactly what a delta
-// client ships with DO_CHECKPOINT.
+// client ships with DO_CHECKPOINT. On materialized memory the blocks
+// are hashed in place across cores; the vector is the same either way.
 func (p *PlacedModel) BlockDigests(blockBytes int64) []uint64 {
-	var out []uint64
-	mem := p.GPU.Mem()
+	type block struct{ off, n int64 }
+	var blocks []block
 	for i, tm := range p.Spec.Tensors {
 		base := p.Offs[i]
 		for off := int64(0); off < tm.Size; off += blockBytes {
-			n := blockBytes
-			if tm.Size-off < n {
-				n = tm.Size - off
-			}
-			out = append(out, mem.Fingerprint(base+off, n))
+			blocks = append(blocks, block{base + off, min(blockBytes, tm.Size-off)})
 		}
 	}
+	mem := p.GPU.Mem()
+	bounds := []int64{0, int64(len(blocks))}
+	if mem.Materialized() {
+		bounds = memdev.Parts(int64(len(blocks)), max(1, digestMinPart/blockBytes))
+	}
+	out := make([]uint64, len(blocks))
+	memdev.RunParts(bounds, func(_ int, lo, hi int64) {
+		for i := lo; i < hi; i++ {
+			out[i] = mem.Fingerprint(blocks[i].off, blocks[i].n)
+		}
+	})
 	return out
 }
+
+// digestMinPart is the fewest bytes of blocks worth digesting on a core
+// of their own; smaller models digest serially.
+const digestMinPart = 1 << 20
 
 // VerifyDigests compares the model's current per-block digests against
 // a previously captured vector, returning the index of the first

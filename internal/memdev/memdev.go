@@ -8,15 +8,18 @@
 // correctness is checkable in both modes.
 //
 // Devices carry no timing; the datapath layers (rdma, fsim) charge
-// modeled costs. All methods are safe for concurrent use.
+// modeled costs. All methods are safe for concurrent use; readers of one
+// device proceed concurrently, writers are exclusive.
 package memdev
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind labels what a device models.
@@ -52,8 +55,9 @@ type Device struct {
 	kind         Kind
 	size         int64
 	materialized bool
+	id           uint64 // creation order: the lock order of two-device copies
 
-	mu     sync.Mutex
+	mu     sync.RWMutex
 	data   []byte       // materialized mode
 	stamps []stampEntry // virtual mode: disjoint stamped regions
 	brk    int64        // bump-allocation watermark
@@ -80,12 +84,14 @@ func (e stampEntry) complete() bool { return e.srcOff == 0 && e.srcLen == e.n }
 // the device allocates real backing bytes; otherwise it tracks content
 // stamps only.
 func New(name string, kind Kind, size int64, materialized bool) *Device {
-	d := &Device{name: name, kind: kind, size: size, materialized: materialized}
+	d := &Device{name: name, kind: kind, size: size, materialized: materialized, id: nextID.Add(1)}
 	if materialized {
 		d.data = make([]byte, size)
 	}
 	return d
 }
+
+var nextID atomic.Uint64
 
 // Name returns the device's name.
 func (d *Device) Name() string { return d.name }
@@ -115,8 +121,8 @@ func (d *Device) Alloc(n int64) (int64, error) {
 
 // Allocated reports the bump-allocation watermark.
 func (d *Device) Allocated() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	return d.brk
 }
 
@@ -143,9 +149,23 @@ func (d *Device) Read(off int64, p []byte) {
 	if !d.materialized {
 		panic("memdev: Read on virtual device; use StampOf")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	copy(p, d.data[off:off+int64(len(p))])
+}
+
+// View calls fn with the region [off, off+n) in place, under the
+// device's read lock: concurrent readers proceed, writers wait until fn
+// returns. fn must neither retain nor modify p, and must not write to
+// this device. The device must be materialized.
+func (d *Device) View(off, n int64, fn func(p []byte)) {
+	d.check(off, n)
+	if !d.materialized {
+		panic("memdev: View on virtual device; use Fingerprint")
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	fn(d.data[off : off+n])
 }
 
 // Bytes returns a copy of the region [off, off+n). The device must be
@@ -390,8 +410,8 @@ func (d *Device) fragmentsLocked(off, n int64) []stampEntry {
 // exactly match a stamped region.
 func (d *Device) StampOf(off, n int64) uint64 {
 	d.check(off, n)
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if d.materialized {
 		h := fnv.New64a()
 		h.Write(d.data[off : off+n])
@@ -419,8 +439,8 @@ func (d *Device) StampOf(off, n int64) uint64 {
 // copy-forwards of the same content.
 func (d *Device) Fingerprint(off, n int64) uint64 {
 	d.check(off, n)
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if d.materialized {
 		h := fnv.New64a()
 		h.Write(d.data[off : off+n])
@@ -454,6 +474,11 @@ func (d *Device) Fingerprint(off, n int64) uint64 {
 // into the full region once every chunk has arrived. This is what lets
 // chunked datapath transfers and ranged flushes preserve content
 // identity on virtual buffers.
+//
+// Materialized bytes move in one copy with no staging buffer: a
+// self-copy is a memmove under the device's write lock, and a copy
+// between two devices holds both locks, taken in creation order so
+// opposing copies cannot deadlock.
 func Copy(dst *Device, dstOff int64, src *Device, srcOff, n int64) {
 	if dst.materialized != src.materialized {
 		panic(fmt.Sprintf("memdev: mixed-mode copy %s -> %s", src.name, dst.name))
@@ -464,8 +489,22 @@ func Copy(dst *Device, dstOff int64, src *Device, srcOff, n int64) {
 		return
 	}
 	if dst.materialized {
-		buf := src.Bytes(srcOff, n)
-		dst.Write(dstOff, buf)
+		switch {
+		case dst == src:
+			dst.mu.Lock()
+			defer dst.mu.Unlock()
+		case dst.id < src.id:
+			dst.mu.Lock()
+			defer dst.mu.Unlock()
+			src.mu.RLock()
+			defer src.mu.RUnlock()
+		default:
+			src.mu.RLock()
+			defer src.mu.RUnlock()
+			dst.mu.Lock()
+			defer dst.mu.Unlock()
+		}
+		copy(dst.data[dstOff:dstOff+n], src.data[srcOff:srcOff+n])
 		return
 	}
 	// Collect the covering fragments under the source lock, then splice
@@ -473,9 +512,9 @@ func Copy(dst *Device, dstOff int64, src *Device, srcOff, n int64) {
 	// dstOff+n) exactly). The locks are held sequentially, never nested,
 	// so a self-copy (slot-to-slot copy-forward within one device)
 	// cannot deadlock.
-	src.mu.Lock()
+	src.mu.RLock()
 	frags := src.fragmentsLocked(srcOff, n)
-	src.mu.Unlock()
+	src.mu.RUnlock()
 	for i := range frags {
 		frags[i].off += dstOff - srcOff
 	}
@@ -487,8 +526,8 @@ func Copy(dst *Device, dstOff int64, src *Device, srcOff, n int64) {
 // Snapshot returns a deep copy of the device's content state (bytes or
 // stamps). Used by the pmem package to implement flush/crash semantics.
 func (d *Device) Snapshot() *Content {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	c := &Content{materialized: d.materialized}
 	if d.materialized {
 		c.data = append([]byte(nil), d.data...)
@@ -525,8 +564,8 @@ type StampRegion struct {
 // content is partial and must read back as unknown after an image
 // round-trip. On a materialized device it returns nil.
 func (d *Device) Stamps() []StampRegion {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if d.materialized {
 		return nil
 	}
@@ -544,4 +583,45 @@ type Content struct {
 	materialized bool
 	data         []byte
 	stamps       []stampEntry
+}
+
+// Parts splits [0, n) into contiguous parts for hashing across cores:
+// at most GOMAXPROCS of them, none shorter than minPart units. It
+// returns the part boundaries — part i is [bounds[i], bounds[i+1]) — and
+// a range shorter than 2*minPart stays one part.
+func Parts(n, minPart int64) []int64 {
+	k := int64(runtime.GOMAXPROCS(0))
+	if minPart > 0 && n/minPart < k {
+		k = n / minPart
+	}
+	if k < 1 {
+		k = 1
+	}
+	bounds := make([]int64, k+1)
+	for i := range bounds {
+		bounds[i] = n * int64(i) / k
+	}
+	return bounds
+}
+
+// RunParts calls fn(i, bounds[i], bounds[i+1]) for every part of bounds
+// concurrently and returns once all calls have. A single part runs on
+// the calling goroutine.
+func RunParts(bounds []int64, fn func(i int, lo, hi int64)) {
+	if len(bounds) <= 2 {
+		if len(bounds) == 2 {
+			fn(0, bounds[0], bounds[1])
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(bounds)-1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, bounds[i], bounds[i+1])
+		}()
+	}
+	fn(0, bounds[0], bounds[1])
+	wg.Wait()
 }

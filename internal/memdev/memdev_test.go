@@ -2,6 +2,8 @@ package memdev
 
 import (
 	"bytes"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -253,5 +255,92 @@ func TestCopyPreservesBytesProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCopyMaterializedAllocatesNothing: a materialized copy — between
+// two devices or within one — moves the bytes directly, with no
+// staging buffer.
+func TestCopyMaterializedAllocatesNothing(t *testing.T) {
+	src := New("gpu", GPU, 4<<20, true)
+	dst := New("pmem", PMEM, 4<<20, true)
+	if n := testing.AllocsPerRun(10, func() {
+		Copy(dst, 0, src, 0, 2<<20)
+		Copy(src, 1<<20, src, 0, 2<<20)
+	}); n != 0 {
+		t.Fatalf("materialized Copy allocates %v times per run, want 0", n)
+	}
+}
+
+// TestConcurrentCopiesDoNotDeadlock runs copies in both directions
+// between two devices, self-copies, in-place readers and writers at
+// once: the two-device lock order must keep them all moving.
+func TestConcurrentCopiesDoNotDeadlock(t *testing.T) {
+	a := New("a", GPU, 1<<20, true)
+	b := New("b", PMEM, 1<<20, true)
+	var wg sync.WaitGroup
+	ops := []func(){
+		func() { Copy(a, 0, b, 1<<19, 1<<18) },
+		func() { Copy(b, 0, a, 1<<19, 1<<18) },
+		func() { Copy(a, 1<<10, a, 0, 1<<18) },
+		func() { a.View(0, 1<<19, func(p []byte) { _ = p[len(p)-1] }) },
+		func() { b.Write(1<<19, make([]byte, 1<<10)) },
+		func() { _ = b.Fingerprint(0, 1<<20) },
+	}
+	for _, op := range ops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				op()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPartsCoverRange: the parts tile [0, n) in order, respect the
+// minimum part size, and never exceed one per GOMAXPROCS.
+func TestPartsCoverRange(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range []struct{ n, min int64 }{{0, 1}, {1, 1}, {7, 1}, {100, 30}, {100, 51}, {1 << 30, 1 << 20}} {
+		bounds := Parts(c.n, c.min)
+		k := int64(len(bounds) - 1)
+		if bounds[0] != 0 || bounds[k] != c.n || k < 1 || k > 4 {
+			t.Fatalf("Parts(%d, %d) = %v", c.n, c.min, bounds)
+		}
+		for i := int64(0); i < k; i++ {
+			if bounds[i+1] < bounds[i] || (k > 1 && bounds[i+1]-bounds[i] < c.min) {
+				t.Fatalf("Parts(%d, %d) = %v: bad part %d", c.n, c.min, bounds, i)
+			}
+		}
+		seen := make([]bool, k)
+		var mu sync.Mutex
+		RunParts(bounds, func(i int, lo, hi int64) {
+			mu.Lock()
+			defer mu.Unlock()
+			if lo != bounds[i] || hi != bounds[i+1] || seen[i] {
+				t.Errorf("part %d ran as [%d,%d)", i, lo, hi)
+			}
+			seen[i] = true
+		})
+		for i, ok := range seen {
+			if !ok {
+				t.Fatalf("Parts(%d, %d): part %d never ran", c.n, c.min, i)
+			}
+		}
+	}
+}
+
+// BenchmarkCopyMaterialized measures a 4 MiB materialized copy between
+// two devices — the PMem flush and copy-forward primitive.
+func BenchmarkCopyMaterialized(b *testing.B) {
+	src := New("gpu", GPU, 4<<20, true)
+	dst := New("pmem", PMEM, 4<<20, true)
+	b.SetBytes(4 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Copy(dst, 0, src, 0, 4<<20)
 	}
 }

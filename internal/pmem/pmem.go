@@ -230,11 +230,14 @@ func (d *Device) SaveImage(w io.Writer) error {
 	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("pmem: write image header: %w", err)
 	}
-	if _, err := w.Write(d.metaDur.Bytes(0, d.cfg.MetaSize)); err != nil {
+	var err error
+	d.metaDur.View(0, d.cfg.MetaSize, func(p []byte) { _, err = w.Write(p) })
+	if err != nil {
 		return fmt.Errorf("pmem: write meta zone: %w", err)
 	}
 	if d.cfg.Materialized {
-		if _, err := w.Write(d.dataDur.Bytes(0, d.cfg.DataSize)); err != nil {
+		d.dataDur.View(0, d.cfg.DataSize, func(p []byte) { _, err = w.Write(p) })
+		if err != nil {
 			return fmt.Errorf("pmem: write data zone: %w", err)
 		}
 		return nil

@@ -2,6 +2,8 @@ package rdma
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -159,5 +161,76 @@ func TestTCPUnknownPeer(t *testing.T) {
 		RemoteSlice{MR: RemoteMR{Node: "nowhere", RKey: 1, Len: 8}, Len: 8})
 	if err == nil {
 		t.Fatal("read to unknown peer succeeded")
+	}
+}
+
+// TestTCPLargeTransferAllocations: a 4 MiB READ or WRITE streams
+// between the socket and the device regions, so across both endpoints
+// it allocates a small fraction of the transfer — no frame-sized
+// buffers, no per-connection buffers.
+func TestTCPLargeTransferAllocations(t *testing.T) {
+	const chunk = 4 << 20
+	env, f, client, server := newTCPPair(t)
+	cgpu := memdev.New("gpu0", memdev.GPU, chunk, true)
+	spm := memdev.New("pmem0", memdev.PMEM, chunk, true)
+	cgpu.Write(0, bytes.Repeat([]byte("tensor"), chunk/8))
+	rmr := client.RegisterMR(env, cgpu, 0, chunk)
+	lmr := server.RegisterMR(env, spm, 0, chunk)
+	local := Slice{MR: lmr, Len: chunk}
+	remote := RemoteSlice{MR: RemoteMR{Node: "client", RKey: rmr.RKey, Len: chunk}, Len: chunk}
+	for _, verb := range []struct {
+		name string
+		op   func(sim.Env, *Node, Slice, RemoteSlice) error
+	}{{"read", f.Read}, {"write", f.Write}} {
+		if err := verb.op(env, server, local, remote); err != nil { // warm the connection
+			t.Fatal(err)
+		}
+		const ops = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < ops; i++ {
+			if err := verb.op(env, server, local, remote); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / ops; per > chunk/8 {
+			t.Fatalf("4 MiB %s allocates %d bytes per op, want under %d", verb.name, per, chunk/8)
+		}
+	}
+	if !bytes.Equal(spm.Bytes(0, chunk), cgpu.Bytes(0, chunk)) {
+		t.Fatal("content differs after the transfers")
+	}
+}
+
+// TestTCPRejectedPayloadKeepsConnection: a payload the receiving region
+// cannot take — wrong content mode, unknown rkey — is drained and
+// reported, and the cached connection stays in frame sync for the next
+// verb.
+func TestTCPRejectedPayloadKeepsConnection(t *testing.T) {
+	env, f, client, server := newTCPPair(t)
+	cgpu := memdev.New("gpu0", memdev.GPU, 1<<20, true)
+	vgpu := memdev.New("gpu1", memdev.GPU, 1<<20, false)
+	spm := memdev.New("pmem0", memdev.PMEM, 1<<20, true)
+	cgpu.Write(0, []byte("weights!"))
+	vgpu.WriteStamp(0, 8, 99)
+	good := client.RegisterMR(env, cgpu, 0, 8)
+	virt := client.RegisterMR(env, vgpu, 0, 8)
+	lmr := server.RegisterMR(env, spm, 0, 8)
+	local := Slice{MR: lmr, Len: 8}
+	remote := func(rkey uint64) RemoteSlice {
+		return RemoteSlice{MR: RemoteMR{Node: "client", RKey: rkey, Len: 8}, Len: 8}
+	}
+	if err := f.Read(env, server, local, remote(virt.RKey)); !errors.Is(err, ErrModeMismatch) {
+		t.Fatalf("read of a virtual region into materialized memory: err = %v, want ErrModeMismatch", err)
+	}
+	if err := f.Write(env, server, local, remote(42)); err == nil || !strings.Contains(err.Error(), "unknown remote key") {
+		t.Fatalf("write to an unknown rkey: err = %v", err)
+	}
+	if err := f.Read(env, server, local, remote(good.RKey)); err != nil {
+		t.Fatal(err)
+	}
+	if got := spm.Bytes(0, 8); !bytes.Equal(got, []byte("weights!")) {
+		t.Fatalf("read after rejections = %q", got)
 	}
 }
