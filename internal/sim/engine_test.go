@@ -89,6 +89,25 @@ func TestRunUntilStopsEarly(t *testing.T) {
 	}
 }
 
+// A deadline already in the past stops dispatch but must not move the
+// clock backwards.
+func TestRunUntilNeverRewindsClock(t *testing.T) {
+	e := NewEngine()
+	e.Go("p", func(env Env) {
+		env.Sleep(time.Second)
+		env.Sleep(time.Hour)
+	})
+	if now := e.RunUntil(2 * time.Second); now != 2*time.Second {
+		t.Fatalf("RunUntil(2s) = %v, want 2s", now)
+	}
+	if now := e.RunUntil(time.Millisecond); now != 2*time.Second {
+		t.Fatalf("RunUntil(1ms) after 2s = %v, want 2s", now)
+	}
+	if e.Now() != 2*time.Second {
+		t.Fatalf("Now() = %v after a past deadline, want 2s", e.Now())
+	}
+}
+
 func TestNestedSpawn(t *testing.T) {
 	e := NewEngine()
 	var got []string
