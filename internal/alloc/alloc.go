@@ -87,6 +87,7 @@ func Format(pm *pmem.Device, tableOff, tableLen int64) (*Allocator, error) {
 	// Zero the slot region so state reads as free.
 	pm.WriteMeta(tableOff+headerSize, make([]byte, slotCap*slotSize))
 	pm.FlushMeta(tableOff, headerSize+slotCap*slotSize)
+	a.freeSlots = make([]int64, 0, slotCap)
 	for i := int64(slotCap) - 1; i >= 0; i-- {
 		a.freeSlots = append(a.freeSlots, i)
 	}

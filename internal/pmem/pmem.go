@@ -8,9 +8,9 @@
 //
 // A device has two zones sharing one address space:
 //
-//   - a metadata zone (always materialized) holding the persistent
-//     three-level index — ModelTable, MIndex records — so offline tools
-//     can re-parse a raw image;
+//   - a metadata zone (always materialized, page by page on first
+//     touch) holding the persistent three-level index — ModelTable,
+//     MIndex records — so offline tools can re-parse a raw image;
 //   - a data zone holding TensorData, materialized or virtual
 //     (stamp-tracked) depending on configuration.
 package pmem
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"sync/atomic"
 
 	"github.com/portus-sys/portus/internal/memdev"
@@ -93,8 +94,9 @@ type Config struct {
 type Device struct {
 	cfg Config
 
-	meta       *memdev.Device
-	metaDur    *memdev.Device // durable (flushed) image of meta
+	metaMu     sync.RWMutex
+	meta       *metaZone
+	metaDur    *metaZone // durable (flushed) image of meta
 	data       *memdev.Device
 	dataDur    *memdev.Device // durable (flushed) image of data
 	crashCount int
@@ -121,8 +123,8 @@ func New(cfg Config) *Device {
 	}
 	return &Device{
 		cfg:     cfg,
-		meta:    memdev.New(cfg.Name+"/meta", kind, cfg.MetaSize, true),
-		metaDur: memdev.New(cfg.Name+"/meta.dur", kind, cfg.MetaSize, true),
+		meta:    newMetaZone(cfg.Name+"/meta", cfg.MetaSize),
+		metaDur: newMetaZone(cfg.Name+"/meta.dur", cfg.MetaSize),
 		data:    memdev.New(cfg.Name+"/data", kind, cfg.DataSize, cfg.Materialized),
 		dataDur: memdev.New(cfg.Name+"/data.dur", kind, cfg.DataSize, cfg.Materialized),
 	}
@@ -155,19 +157,33 @@ func (d *Device) CrashCount() int { return d.crashCount }
 
 // WriteMeta stores p at off in the metadata zone. The write is volatile
 // until FlushMeta covers it.
-func (d *Device) WriteMeta(off int64, p []byte) { d.meta.Write(off, p) }
+func (d *Device) WriteMeta(off int64, p []byte) {
+	d.metaMu.Lock()
+	defer d.metaMu.Unlock()
+	d.meta.write(off, p)
+}
 
 // ReadMeta fills p from off in the metadata zone.
-func (d *Device) ReadMeta(off int64, p []byte) { d.meta.Read(off, p) }
+func (d *Device) ReadMeta(off int64, p []byte) {
+	d.metaMu.RLock()
+	defer d.metaMu.RUnlock()
+	d.meta.read(off, p)
+}
 
 // MetaBytes returns a copy of [off, off+n) of the metadata zone.
-func (d *Device) MetaBytes(off, n int64) []byte { return d.meta.Bytes(off, n) }
+func (d *Device) MetaBytes(off, n int64) []byte {
+	p := make([]byte, n)
+	d.ReadMeta(off, p)
+	return p
+}
 
 // FlushMeta persists metadata-zone region [off, off+n), standing in for
 // CLWB of each line plus SFENCE.
 func (d *Device) FlushMeta(off, n int64) {
 	d.metaFlushOps.Add(1)
-	memdev.Copy(d.metaDur, off, d.meta, off, n)
+	d.metaMu.Lock()
+	defer d.metaMu.Unlock()
+	d.metaDur.copyFrom(d.meta, off, n)
 }
 
 // Persist8 atomically persists the 8-byte word at off in the metadata
@@ -197,13 +213,15 @@ func (d *Device) MetaFlushOps() int64 { return d.metaFlushOps.Load() }
 // fallback medium nothing is durable: the whole namespace is wiped.
 func (d *Device) Crash() {
 	d.crashCount++
+	d.metaMu.Lock()
+	defer d.metaMu.Unlock()
 	if d.cfg.Media == MediaDRAM {
 		fresh := New(d.cfg)
 		d.meta, d.metaDur = fresh.meta, fresh.metaDur
 		d.data, d.dataDur = fresh.data, fresh.dataDur
 		return
 	}
-	d.meta.Restore(d.metaDur.Snapshot())
+	d.meta.copyFrom(d.metaDur, 0, d.cfg.MetaSize)
 	d.data.Restore(d.dataDur.Snapshot())
 }
 
@@ -230,8 +248,9 @@ func (d *Device) SaveImage(w io.Writer) error {
 	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("pmem: write image header: %w", err)
 	}
-	var err error
-	d.metaDur.View(0, d.cfg.MetaSize, func(p []byte) { _, err = w.Write(p) })
+	d.metaMu.RLock()
+	err := d.metaDur.writeTo(w)
+	d.metaMu.RUnlock()
 	if err != nil {
 		return fmt.Errorf("pmem: write meta zone: %w", err)
 	}
@@ -278,12 +297,15 @@ func LoadImage(name string, r io.Reader) (*Device, error) {
 		Materialized: p[24] == 1,
 	}
 	d := New(cfg)
-	meta := make([]byte, cfg.MetaSize)
-	if _, err := io.ReadFull(r, meta); err != nil {
-		return nil, fmt.Errorf("pmem: read meta zone: %w", err)
+	page := make([]byte, metaPage)
+	for off := int64(0); off < cfg.MetaSize; off += metaPage {
+		p := page[:min(metaPage, cfg.MetaSize-off)]
+		if _, err := io.ReadFull(r, p); err != nil {
+			return nil, fmt.Errorf("pmem: read meta zone: %w", err)
+		}
+		d.meta.write(off, p)
+		d.metaDur.write(off, p)
 	}
-	d.meta.Write(0, meta)
-	d.metaDur.Write(0, meta)
 	if cfg.Materialized {
 		data := make([]byte, cfg.DataSize)
 		if _, err := io.ReadFull(r, data); err != nil {

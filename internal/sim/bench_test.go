@@ -65,3 +65,17 @@ func BenchmarkMailboxThroughput(b *testing.B) {
 		e.Run()
 	}
 }
+
+// BenchmarkPipelineTransfer measures one 64-chunk transfer through four
+// stages, the shape of a simulated RDMA verb, on a reused engine.
+func BenchmarkPipelineTransfer(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	var st []Stage
+	e.Go("setup", func(env Env) { st = fourStages(env) })
+	e.Run()
+	for i := 0; i < b.N; i++ {
+		e.Go("verb", func(env Env) { PipelineTransfer(env, 64<<20, 1<<20, st...) })
+		e.Run()
+	}
+}

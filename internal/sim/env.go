@@ -40,7 +40,7 @@ func (s *simEnv) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	s.eng.schedule(s.eng.now+d, s.p, nil, "wake:"+s.p.name)
+	s.eng.schedule(s.eng.now+d, s.p, nil, "wake", s.p.name)
 	s.p.park()
 }
 
@@ -56,11 +56,11 @@ func (s *simEnv) parkOnCondition() {
 	s.p.park()
 }
 
-// scheduleWake enqueues a wake event for a process parked via
-// parkOnCondition.
-func (e *Engine) scheduleWake(p *proc, label string) {
+// scheduleWake enqueues a wake event, labelled kind:name, for a process
+// parked via parkOnCondition.
+func (e *Engine) scheduleWake(p *proc, kind, name string) {
 	e.npark--
-	e.schedule(e.now, p, nil, label)
+	e.schedule(e.now, p, nil, kind, name)
 }
 
 // RealEnv is the wall-clock implementation of Env, used by the TCP-backed

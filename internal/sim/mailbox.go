@@ -57,7 +57,7 @@ func (m *Mailbox[T]) wakeOne(env Env) {
 	se := env.(*simEnv)
 	p := m.waiters[0]
 	m.waiters = m.waiters[1:]
-	se.eng.scheduleWake(p, "mbox:"+p.name)
+	se.eng.scheduleWake(p, "mbox", p.name)
 }
 
 // Recv dequeues the oldest message, blocking until one is available. The
@@ -146,7 +146,7 @@ func (m *Mailbox[T]) Close(env Env) {
 	m.closed = true
 	se := env.(*simEnv)
 	for _, p := range m.waiters {
-		se.eng.scheduleWake(p, "mboxclose:"+p.name)
+		se.eng.scheduleWake(p, "mboxclose", p.name)
 	}
 	m.waiters = nil
 }

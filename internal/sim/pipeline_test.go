@@ -112,3 +112,61 @@ func TestPipelineRealEnvReturnsImmediately(t *testing.T) {
 		t.Fatal("PipelineTransfer under RealEnv should be immediate")
 	}
 }
+
+// fourStages returns a four-stage datapath with per-chunk latencies and a
+// capped first stage, the shape of a simulated RDMA verb.
+func fourStages(env Env) []Stage {
+	return []Stage{
+		{Res: NewBandwidthResource(env, "src", 12*gb), FlowCap: 6 * gb, Latency: time.Microsecond},
+		{Res: NewBandwidthResource(env, "nic0", 10*gb)},
+		{Res: NewBandwidthResource(env, "nic1", 10*gb)},
+		{Res: NewBandwidthResource(env, "dst", 8*gb)},
+	}
+}
+
+func TestPipelineTransferParksOnlyTheCaller(t *testing.T) {
+	e := NewEngine()
+	parked, live := -1, -1
+	var done time.Duration
+	e.Go("root", func(env Env) {
+		st := fourStages(env)
+		env.Go("mover", func(env Env) {
+			PipelineTransfer(env, 64<<20, 1<<20, st...)
+			done = env.Now()
+		})
+		env.Go("probe", func(env Env) {
+			env.Sleep(time.Millisecond)
+			parked, live = e.Parked(), e.Live()
+		})
+	})
+	e.Run()
+	if done <= time.Millisecond {
+		t.Fatalf("transfer finished at %v, before the probe looked", done)
+	}
+	if parked != 1 || live != 2 {
+		t.Fatalf("mid-transfer Parked() = %d, Live() = %d; want 1 (the caller) and 2 (caller and probe)", parked, live)
+	}
+	if e.Parked() != 0 || e.Live() != 0 {
+		t.Fatalf("after the run Parked() = %d, Live() = %d; want 0 and 0", e.Parked(), e.Live())
+	}
+}
+
+// TestPipelineTransferAllocations holds one multi-chunk transfer, on an
+// engine that has run one before, to a small budget: the process that
+// issues it, and nothing per chunk, per stage or per event.
+func TestPipelineTransferAllocations(t *testing.T) {
+	const budget = 8
+	for _, chunks := range []int64{4, 64} {
+		e := NewEngine()
+		var st []Stage
+		e.Go("setup", func(env Env) { st = fourStages(env) })
+		e.Run()
+		allocs := testing.AllocsPerRun(20, func() {
+			e.Go("verb", func(env Env) { PipelineTransfer(env, chunks<<20, 1<<20, st...) })
+			e.Run()
+		})
+		if allocs > budget {
+			t.Errorf("%d-chunk transfer: %.1f allocations, want at most %d", chunks, allocs, budget)
+		}
+	}
+}

@@ -19,8 +19,9 @@ type BandwidthResource struct {
 	capacity   float64 // bytes per second, aggregate
 	contention float64 // synchronization-contention coefficient α
 	flows      []*flow
+	scratch    []*flow // water-filling work list, reused
 	lastUpdate time.Duration
-	nextEv     *event
+	tick       *event // the next completion; moved, never re-created
 	eng        *Engine
 
 	// TotalBytes accumulates all bytes ever transferred, for utilization
@@ -32,7 +33,8 @@ type flow struct {
 	remaining float64 // bytes left to transfer
 	cap       float64 // per-flow rate cap in bytes/sec; 0 means uncapped
 	rate      float64 // currently allocated rate
-	p         *proc   // process to wake on completion
+	p         *proc   // process to wake on completion, or
+	done      func()  // callback to run in engine context on completion
 }
 
 // NewBandwidthResource creates a resource with the given aggregate
@@ -42,6 +44,11 @@ func NewBandwidthResource(env Env, name string, capacity float64) *BandwidthReso
 	r := &BandwidthResource{name: name, capacity: capacity}
 	if se, ok := env.(*simEnv); ok {
 		r.eng = se.eng
+		r.tick = &event{kind: "xfertick", name: name, index: -1, owned: true}
+		r.tick.fn = func() {
+			r.advance()
+			r.reallocate()
+		}
 	}
 	return r
 }
@@ -77,12 +84,25 @@ func (r *BandwidthResource) Transfer(env Env, size int64, flowCap float64, laten
 	if !ok {
 		return // real runtime: transfers take real time elsewhere
 	}
+	r.start(size, flowCap, se.p, nil)
+	se.parkOnCondition()
+}
+
+// start admits a flow of size bytes. When it completes the engine wakes
+// p or, for a flow started from engine context (p nil), runs done.
+func (r *BandwidthResource) start(size int64, flowCap float64, p *proc, done func()) {
 	r.TotalBytes += float64(size)
 	r.advance()
-	f := &flow{remaining: float64(size), cap: flowCap, p: se.p}
+	var f *flow
+	if n := len(r.eng.flows); n > 0 {
+		f = r.eng.flows[n-1]
+		r.eng.flows = r.eng.flows[:n-1]
+	} else {
+		f = &flow{}
+	}
+	*f = flow{remaining: float64(size), cap: flowCap, p: p, done: done}
 	r.flows = append(r.flows, f)
 	r.reallocate()
-	se.parkOnCondition()
 }
 
 // advance drains progress made since lastUpdate at current rates.
@@ -107,12 +127,19 @@ func (r *BandwidthResource) reallocate() {
 	// Complete finished flows first.
 	live := r.flows[:0]
 	for _, f := range r.flows {
-		if f.remaining <= 1e-6 {
-			r.eng.scheduleWake(f.p, "xferdone:"+r.name)
-		} else {
+		if f.remaining > 1e-6 {
 			live = append(live, f)
+			continue
 		}
+		if f.p != nil {
+			r.eng.scheduleWake(f.p, "xferdone", r.name)
+		} else {
+			r.eng.schedule(r.eng.now, nil, f.done, "xferdone", r.name)
+		}
+		*f = flow{}
+		r.eng.flows = append(r.eng.flows, f)
 	}
+	clear(r.flows[len(live):])
 	r.flows = live
 
 	// Water-filling max-min allocation with per-flow caps.
@@ -122,8 +149,8 @@ func (r *BandwidthResource) reallocate() {
 			effective = r.capacity / (1 + r.contention*float64(len(r.flows)-1))
 		}
 		remainingCap := effective
-		unalloc := make([]*flow, len(r.flows))
-		copy(unalloc, r.flows)
+		r.scratch = append(r.scratch[:0], r.flows...)
+		unalloc := r.scratch
 		for _, f := range unalloc {
 			f.rate = 0
 		}
@@ -150,9 +177,7 @@ func (r *BandwidthResource) reallocate() {
 		}
 	}
 
-	// Schedule the next completion.
-	r.eng.cancel(r.nextEv)
-	r.nextEv = nil
+	// Move the next completion; no flow in progress means none.
 	soonest := math.Inf(1)
 	for _, f := range r.flows {
 		if f.rate <= 0 {
@@ -168,10 +193,9 @@ func (r *BandwidthResource) reallocate() {
 		if at <= r.eng.now {
 			at = r.eng.now + 1
 		}
-		r.nextEv = r.eng.schedule(at, nil, func() {
-			r.advance()
-			r.reallocate()
-		}, "xfertick:"+r.name)
+		r.eng.reschedule(r.tick, at)
+	} else {
+		r.eng.unschedule(r.tick)
 	}
 }
 

@@ -52,7 +52,7 @@ func (s *Signal) Fire(env Env) {
 	s.fired = true
 	se := env.(*simEnv)
 	for _, p := range s.waiters {
-		se.eng.scheduleWake(p, "signal:"+p.name)
+		se.eng.scheduleWake(p, "signal", p.name)
 	}
 	s.waiters = nil
 }
@@ -119,7 +119,7 @@ func (g *Group) Add(env Env, delta int) {
 	if g.n == 0 {
 		se := env.(*simEnv)
 		for _, p := range g.waiters {
-			se.eng.scheduleWake(p, "group:"+p.name)
+			se.eng.scheduleWake(p, "group", p.name)
 		}
 		g.waiters = nil
 	}
