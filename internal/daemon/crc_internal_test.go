@@ -124,3 +124,14 @@ func BenchmarkContentCRC(b *testing.B) {
 }
 
 var crcSink uint64
+
+// BenchmarkCRC64Combine folds one part CRC into a running CRC across
+// a part of a resnet50-sized slot: the per-part cost of crcExtents.
+func BenchmarkCRC64Combine(b *testing.B) {
+	crc := uint64(0x0123456789abcdef)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		crc = crc64Combine(crc, uint64(i), 48<<20)
+	}
+	crcSink = crc
+}

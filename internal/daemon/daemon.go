@@ -1463,60 +1463,51 @@ func crcExtents(dev *memdev.Device, exts []alloc.Extent, bounds []int64) uint64 
 }
 
 // crc64Combine returns the CRC64 (ECMA) of A||B given crcA, crcB and
-// len(B), without touching the bytes: zlib's crc32_combine GF(2) method
-// with the 64-bit polynomial. Appending len(B) zero bytes to A is a
-// linear map on the CRC register; it is applied by repeated squaring of
-// the one-zero-bit operator, and B's own CRC is then XORed in (the
-// pre- and post-inversion cancel, as in zlib).
+// len(B), without touching the bytes: zlib's crc32_combine method
+// (≥ 1.2.12) with the 64-bit polynomial. Appending len(B) zero bytes to
+// A multiplies its CRC register by x^(8·len(B)) mod P; that power is
+// the product of the table entries x^(2^k) for the set bits of
+// 8·len(B), and B's own CRC is then XORed in (the pre- and
+// post-inversion cancel, as in zlib).
 func crc64Combine(crcA, crcB uint64, lenB int64) uint64 {
 	if lenB <= 0 {
 		return crcA
 	}
-	var even, odd [64]uint64 // operators for 2^k and 2^(k+1) zero bits
-	odd[0] = crc64.ECMA      // reflected polynomial: one zero bit
-	row := uint64(1)
-	for i := 1; i < 64; i++ {
-		odd[i] = row
-		row <<= 1
-	}
-	gf2Square(&even, &odd) // two zero bits
-	gf2Square(&odd, &even) // four zero bits
-	for {
-		// Apply the operator for the next bit of lenB (in bytes: the
-		// first square below yields one zero byte).
-		gf2Square(&even, &odd)
+	p := uint64(1) << 63 // x^0
+	for k := 3; lenB != 0; k, lenB = k+1, lenB>>1 {
 		if lenB&1 != 0 {
-			crcA = gf2Times(&even, crcA)
-		}
-		if lenB >>= 1; lenB == 0 {
-			break
-		}
-		gf2Square(&odd, &even)
-		if lenB&1 != 0 {
-			crcA = gf2Times(&odd, crcA)
-		}
-		if lenB >>= 1; lenB == 0 {
-			break
+			p = multModP(x2nTable[k], p)
 		}
 	}
-	return crcA ^ crcB
+	return multModP(p, crcA) ^ crcB
 }
 
-// gf2Times multiplies the 64x64 GF(2) matrix mat by vec.
-func gf2Times(mat *[64]uint64, vec uint64) uint64 {
-	var sum uint64
-	for i := 0; vec != 0; i, vec = i+1, vec>>1 {
-		if vec&1 != 0 {
-			sum ^= mat[i]
-		}
+// x2nTable[k] is x^(2^k) mod P in the reflected bit order, for every
+// k a positive int64 byte count (times 8) can reach.
+var x2nTable = func() (t [3 + 63]uint64) {
+	t[0] = 1 << 62 // x^1
+	for k := 1; k < len(t); k++ {
+		t[k] = multModP(t[k-1], t[k-1])
 	}
-	return sum
-}
+	return t
+}()
 
-// gf2Square sets sq to mat squared.
-func gf2Square(sq, mat *[64]uint64) {
-	for i := range sq {
-		sq[i] = gf2Times(mat, mat[i])
+// multModP returns a·b mod P for polynomials in the reflected bit order
+// (bit 63 is x^0). a must be nonzero.
+func multModP(a, b uint64) uint64 {
+	var p uint64
+	for m := uint64(1) << 63; ; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+			if a&(m-1) == 0 {
+				return p
+			}
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crc64.ECMA
+		} else {
+			b >>= 1
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package daemon_test
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -146,6 +147,94 @@ func TestDeltaCheckpointReducesFabricBytes(t *testing.T) {
 		}
 		if bad := placed.VerifyIteration(4); bad != -1 {
 			t.Fatalf("tensor %d wrong after fallback restore", bad)
+		}
+	})
+	eng.Run()
+}
+
+// TestDeltaUpgradeFromFNVDigests: digest tables persisted before the
+// content hash became XXH64 hold FNV-1a values. They still look trusted
+// (same iteration, block size and layout), but no incoming digest
+// equals them, so the cadence restarts as for a fresh model: a full
+// fallback, then the arming checkpoint (full again: the target slot's
+// old table skips nothing), then true deltas. Nothing is ever skipped
+// on a stale match and every version restores byte-identical.
+func TestDeltaUpgradeFromFNVDigests(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		d, placed, c, pm := deltaRig(t, env, nil)
+		total := placed.Spec.TotalSize()
+		placed.ApplyUpdate(1)
+		if err := c.CheckpointSync(env, 1); err != nil {
+			t.Fatal(err)
+		}
+		placed.ApplySparseUpdate(2, deltaBlock, 0.05)
+		if err := c.CheckpointSync(env, 2); err != nil {
+			t.Fatal(err)
+		}
+
+		// Rewrite both slots' tables as the old hash left them: FNV-1a
+		// of each block of the slot's PMem bytes.
+		m, err := d.Store().Lookup("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for slot := 0; slot < 2; slot++ {
+			tbl, ok := d.Store().DeltaGet(m, slot)
+			if !ok {
+				t.Fatalf("slot %d has no digest table", slot)
+			}
+			tbl.Digests = tbl.Digests[:0]
+			for i := range m.Tensors {
+				ext := m.TensorData(i, slot)
+				for off := int64(0); off < ext.Size; off += deltaBlock {
+					h := fnv.New64a()
+					h.Write(pm.Data().Bytes(ext.Off+off, min(deltaBlock, ext.Size-off)))
+					tbl.Digests = append(tbl.Digests, h.Sum64())
+				}
+			}
+			if err := d.Store().DeltaPut(m, slot, tbl); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		saved := d.Telemetry().Counter("portus_delta_bytes_saved_total", "")
+		for i, want := range []struct {
+			pulled    int64
+			fallbacks int64
+		}{
+			{total, 1}, // active table is FNV: every block differs
+			{total, 1}, // arming: target table is FNV, nothing skips
+			{-1, 0},    // true delta
+		} {
+			iter := uint64(3 + i)
+			pulled0, fb0, saved0 := d.Stats().BytesPulled, fallbacks(d), saved.Value()
+			placed.ApplySparseUpdate(iter, deltaBlock, 0.05)
+			digests := placed.BlockDigests(deltaBlock)
+			if err := c.CheckpointSync(env, iter); err != nil {
+				t.Fatalf("checkpoint %d: %v", iter, err)
+			}
+			pulled := d.Stats().BytesPulled - pulled0
+			if fb := fallbacks(d) - fb0; fb != want.fallbacks {
+				t.Fatalf("checkpoint %d counted %d fallbacks, want %d", iter, fb, want.fallbacks)
+			}
+			if want.pulled >= 0 {
+				if pulled != want.pulled {
+					t.Fatalf("checkpoint %d pulled %d bytes, want %d", iter, pulled, want.pulled)
+				}
+				if s := saved.Value() - saved0; s != 0 {
+					t.Fatalf("checkpoint %d saved %d bytes against FNV tables", iter, s)
+				}
+			} else if pulled <= 0 || pulled >= total/2 {
+				t.Fatalf("delta checkpoint %d pulled %d of %d bytes", iter, pulled, total)
+			}
+			placed.ApplyUpdate(9)
+			if got, err := c.Restore(env); err != nil || got != iter {
+				t.Fatalf("restore = %d, %v; want %d", got, err, iter)
+			}
+			if bad := placed.VerifyDigests(deltaBlock, digests); bad != -1 {
+				t.Fatalf("block %d wrong after restoring checkpoint %d", bad, iter)
+			}
 		}
 	})
 	eng.Run()

@@ -13,7 +13,6 @@ package gpu
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"github.com/portus-sys/portus/internal/memdev"
 )
@@ -82,11 +81,9 @@ func Pattern(n int64, seed uint64) []byte {
 	return out
 }
 
-// PatternStamp returns the FNV-64a hash of Pattern(n, seed), i.e. the
-// stamp a materialized device reports for that content. Virtual devices
+// PatternStamp returns memdev.Hash of Pattern(n, seed), i.e. the stamp
+// a materialized device reports for that content. Virtual devices
 // report seed itself; tests should compare stamps within one mode.
 func PatternStamp(n int64, seed uint64) uint64 {
-	h := fnv.New64a()
-	h.Write(Pattern(n, seed))
-	return h.Sum64()
+	return memdev.Hash(Pattern(n, seed))
 }

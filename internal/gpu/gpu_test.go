@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"github.com/portus-sys/portus/internal/memdev"
@@ -64,5 +65,35 @@ func TestFillRegionOnArbitraryDevice(t *testing.T) {
 	FillRegion(d, 0, 64, 5)
 	if !bytes.Equal(d.Bytes(0, 64), Pattern(64, 5)) {
 		t.Fatal("FillRegion content mismatch")
+	}
+}
+
+// TestContentHashAgreesProperty: for every length 0–257 (every tail
+// shape of the hash, and several stripes) at a random offset on a
+// materialized device, Fingerprint, StampOf and memdev.Hash of the
+// bytes agree, on random content and on a FillRegion pattern, and
+// PatternStamp predicts the pattern's stamp.
+func TestContentHashAgreesProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := memdev.New("gpu", memdev.GPU, 4096, true)
+	raw := make([]byte, 4096)
+	rng.Read(raw)
+	d.Write(0, raw)
+	agree := func(off, n int64) {
+		t.Helper()
+		fp, st, h := d.Fingerprint(off, n), d.StampOf(off, n), memdev.Hash(d.Bytes(off, n))
+		if fp != st || st != h {
+			t.Fatalf("[%d,+%d): Fingerprint %#x, StampOf %#x, Hash %#x", off, n, fp, st, h)
+		}
+	}
+	for n := int64(0); n <= 257; n++ {
+		off := rng.Int63n(4096 - n + 1)
+		agree(off, n)
+		seed := rng.Uint64()
+		FillRegion(d, off, n, seed)
+		agree(off, n)
+		if got, want := d.StampOf(off, n), PatternStamp(n, seed); got != want {
+			t.Fatalf("[%d,+%d) seed %d: StampOf %#x, PatternStamp %#x", off, n, seed, got, want)
+		}
 	}
 }

@@ -405,17 +405,15 @@ func (d *Device) fragmentsLocked(off, n int64) []stampEntry {
 }
 
 // StampOf returns the content fingerprint of region [off, off+n). On a
-// materialized device it hashes the bytes; on a virtual device it returns
-// the recorded stamp, or 0 if the region was never written or does not
-// exactly match a stamped region.
+// materialized device it is Hash of the bytes; on a virtual device it
+// returns the recorded stamp, or 0 if the region was never written or
+// does not exactly match a stamped region.
 func (d *Device) StampOf(off, n int64) uint64 {
 	d.check(off, n)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.materialized {
-		h := fnv.New64a()
-		h.Write(d.data[off : off+n])
-		return h.Sum64()
+		return Hash(d.data[off : off+n])
 	}
 	if i := d.searchLocked(off); i < len(d.stamps) {
 		if e := d.stamps[i]; e.off == off && e.n == n && e.complete() {
@@ -427,14 +425,14 @@ func (d *Device) StampOf(off, n int64) uint64 {
 
 // Fingerprint returns a content fingerprint of region [off, off+n) that
 // is defined in both modes, including fragmented virtual regions where
-// StampOf gives up with 0. On a materialized device it hashes the bytes
-// (identical to StampOf). On a virtual device a region exactly covered
-// by one complete entry returns that entry's raw stamp — again identical
-// to StampOf, so whole-region fingerprints stay comparable across both
-// APIs — while any other coverage hashes the covering fragment run
-// (relative offset, length, stamp, and parent position of each piece,
-// gaps included as stamp-0 pieces), so changing any piece's content
-// changes the fingerprint. Copies preserve fragment identity, which
+// StampOf gives up with 0. On a materialized device it is Hash of the
+// bytes (identical to StampOf). On a virtual device a region exactly
+// covered by one complete entry returns that entry's raw stamp — again
+// identical to StampOf, so whole-region fingerprints stay comparable
+// across both APIs — while any other coverage hashes the covering
+// fragment run (relative offset, length, stamp, and parent position of
+// each piece, gaps included as stamp-0 pieces), so changing any piece's
+// content changes the fingerprint. Copies preserve fragment identity, which
 // makes Fingerprint stable across chunked transfers and slot-to-slot
 // copy-forwards of the same content.
 func (d *Device) Fingerprint(off, n int64) uint64 {
@@ -442,9 +440,7 @@ func (d *Device) Fingerprint(off, n int64) uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.materialized {
-		h := fnv.New64a()
-		h.Write(d.data[off : off+n])
-		return h.Sum64()
+		return Hash(d.data[off : off+n])
 	}
 	if i := d.searchLocked(off); i < len(d.stamps) {
 		if e := d.stamps[i]; e.off == off && e.n == n && e.complete() {
